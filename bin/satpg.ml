@@ -696,8 +696,8 @@ let lint_cmd =
     in
     if json then
       print_endline
-        (Lint.Json.to_string
-           (Lint.Json.Obj
+        (Obs.Json.to_string
+           (Obs.Json.Obj
               [
                 ("fsm", Lint.Report.fsm_to_json ~name:fsm fsm_diags);
                 ( "original",
@@ -707,7 +707,7 @@ let lint_cmd =
                   Lint.Report.netlist_to_json ~include_scoap:scoap
                     ~name:(p.Core.Flow.name ^ ".re")
                     p.Core.Flow.retimed sr );
-                ("invariant_match", Lint.Json.Bool invariant_match);
+                ("invariant_match", Obs.Json.Bool invariant_match);
               ]))
     else begin
       Fmt.pr "%a" Lint.Report.pp_fsm (fsm, fsm_diags);

@@ -66,10 +66,7 @@ let build c =
   let host_succ = ref [] in
   Array.iter
     (fun (e : Retime.Graph.edge) ->
-      let dst =
-        if e.Retime.Graph.dst_node < 0 then -1
-        else g.Retime.Graph.vertex_of_gate.(e.Retime.Graph.dst_node)
-      in
+      let dst = e.Retime.Graph.dst_v in
       let nm = (Netlist.Node.node c e.Retime.Graph.src_node).Netlist.Node.name in
       let ge =
         {
@@ -82,7 +79,7 @@ let build c =
       in
       match (Netlist.Node.node c e.Retime.Graph.src_node).Netlist.Node.kind with
       | Netlist.Node.Gate _ ->
-        let sv = g.Retime.Graph.vertex_of_gate.(e.Retime.Graph.src_node) in
+        let sv = e.Retime.Graph.src_v in
         gate_succ.(sv) <- ge :: gate_succ.(sv)
       | Netlist.Node.Pi _ -> host_succ := ge :: !host_succ
       | Netlist.Node.Dff _ -> () (* constant generators: not machine paths *))

@@ -255,10 +255,10 @@ let cause_slug = function
 (* Machine-readable proof payload attached to NET006/NET008 diagnostics
    (the --json consumers parse these instead of the prose message). *)
 let static_proof cause =
-  Json.Obj
+  Obs.Json.Obj
     [
-      ("cause", Json.String (cause_slug cause));
-      ("source", Json.String "static");
+      ("cause", Obs.Json.String (cause_slug cause));
+      ("source", Obs.Json.String "static");
     ]
 
 (* Why fault [f] can be proved untestable from the constant values and the
@@ -399,12 +399,12 @@ type oracle = {
 }
 
 let symbolic_proof oracle =
-  Json.Obj
+  Obs.Json.Obj
     [
-      ("cause", Json.String "unreachable_activation");
-      ("source", Json.String "symbolic");
-      ("max_nodes", Json.Int oracle.max_nodes);
-      ("bdd_nodes", Json.Int oracle.bdd_nodes);
+      ("cause", Obs.Json.String "unreachable_activation");
+      ("source", Obs.Json.String "symbolic");
+      ("max_nodes", Obs.Json.Int oracle.max_nodes);
+      ("bdd_nodes", Obs.Json.Int oracle.bdd_nodes);
     ]
 
 (* The symbolic check is a complete proof, not a heuristic: when the

@@ -105,48 +105,48 @@ let pp_fsm ppf (name, diags) =
 (* --- JSON ------------------------------------------------------------------- *)
 
 let summary_json diags rest =
-  Json.Obj
+  Obs.Json.Obj
     ([
-       ("errors", Json.Int (Diag.count_severity Diag.Error diags));
-       ("warnings", Json.Int (Diag.count_severity Diag.Warning diags));
-       ("infos", Json.Int (Diag.count_severity Diag.Info diags));
+       ("errors", Obs.Json.Int (Diag.count_severity Diag.Error diags));
+       ("warnings", Obs.Json.Int (Diag.count_severity Diag.Warning diags));
+       ("infos", Obs.Json.Int (Diag.count_severity Diag.Info diags));
      ]
     @ rest)
 
 let scoap_json c (s : Scoap.t) =
-  Json.List
+  Obs.Json.List
     (Array.to_list
        (Array.map
           (fun (nd : Netlist.Node.node) ->
             let id = nd.Netlist.Node.id in
-            Json.Obj
+            Obs.Json.Obj
               [
-                ("node", Json.String nd.Netlist.Node.name);
-                ("cc0", Json.Int s.Scoap.cc0.(id));
-                ("cc1", Json.Int s.Scoap.cc1.(id));
-                ("sc0", Json.Int s.Scoap.sc0.(id));
-                ("sc1", Json.Int s.Scoap.sc1.(id));
-                ("co", Json.Int s.Scoap.co.(id));
-                ("so", Json.Int s.Scoap.so.(id));
+                ("node", Obs.Json.String nd.Netlist.Node.name);
+                ("cc0", Obs.Json.Int s.Scoap.cc0.(id));
+                ("cc1", Obs.Json.Int s.Scoap.cc1.(id));
+                ("sc0", Obs.Json.Int s.Scoap.sc0.(id));
+                ("sc1", Obs.Json.Int s.Scoap.sc1.(id));
+                ("co", Obs.Json.Int s.Scoap.co.(id));
+                ("so", Obs.Json.Int s.Scoap.so.(id));
               ])
           c.Netlist.Node.nodes))
 
 let netlist_to_json ?(include_scoap = false) ~name c s =
-  Json.Obj
+  Obs.Json.Obj
     ([
-       ("name", Json.String name);
-       ("kind", Json.String "netlist");
-       ("diagnostics", Json.List (List.map Diag.to_json s.diags));
+       ("name", Obs.Json.String name);
+       ("kind", Obs.Json.String "netlist");
+       ("diagnostics", Obs.Json.List (List.map Diag.to_json s.diags));
        ( "summary",
          summary_json s.diags
            ([
-              ("total_faults", Json.Int s.total_faults);
-              ("untestable", Json.Int s.untestable);
-              ("invariant_untestable", Json.Int s.invariant_untestable);
+              ("total_faults", Obs.Json.Int s.total_faults);
+              ("untestable", Obs.Json.Int s.untestable);
+              ("invariant_untestable", Obs.Json.Int s.invariant_untestable);
             ]
            @
            match s.seq_redundant with
-           | Some n -> [ ("seq_redundant", Json.Int n) ]
+           | Some n -> [ ("seq_redundant", Obs.Json.Int n) ]
            | None -> []) );
      ]
     @
@@ -155,11 +155,11 @@ let netlist_to_json ?(include_scoap = false) ~name c s =
     | _ -> [])
 
 let fsm_to_json ~name diags =
-  Json.Obj
+  Obs.Json.Obj
     [
-      ("name", Json.String name);
-      ("kind", Json.String "fsm");
-      ("diagnostics", Json.List (List.map Diag.to_json diags));
+      ("name", Obs.Json.String name);
+      ("kind", Obs.Json.String "fsm");
+      ("diagnostics", Obs.Json.List (List.map Diag.to_json diags));
       ("summary", summary_json diags []);
     ]
 

@@ -40,9 +40,9 @@ val pp_fsm : Format.formatter -> string * Diag.t list -> unit
     scores. *)
 val netlist_to_json :
   ?include_scoap:bool -> name:string -> Netlist.Node.t -> netlist_summary ->
-  Json.t
+  Obs.Json.t
 
-val fsm_to_json : name:string -> Diag.t list -> Json.t
+val fsm_to_json : name:string -> Diag.t list -> Obs.Json.t
 
 (** (rule id, severity, one-line description) for every rule. *)
 val catalogue : (string * Diag.severity * string) list

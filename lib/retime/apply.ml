@@ -15,7 +15,7 @@ let prefix_length g r =
   let depth = ref 0 in
   Array.iter
     (fun (e : Graph.edge) ->
-      let w = Graph.retimed_weight g r e in
+      let w = Graph.retimed_weight r e in
       if w > !depth then depth := w)
     g.Graph.edges;
   !depth + 1
@@ -28,7 +28,7 @@ let materialize ?prefix_input g r =
   let maxw = Hashtbl.create 97 in
   Array.iter
     (fun (e : Graph.edge) ->
-      let w = Graph.retimed_weight g r e in
+      let w = Graph.retimed_weight r e in
       let cur = try Hashtbl.find maxw e.Graph.src_node with Not_found -> 0 in
       if w > cur then Hashtbl.replace maxw e.Graph.src_node w)
     g.Graph.edges;
@@ -107,16 +107,13 @@ let materialize ?prefix_input g r =
   let gate_edges = Array.make n [] in
   Array.iter
     (fun (e : Graph.edge) ->
-      if e.Graph.dst_node >= 0 then begin
-        let dv = g.Graph.vertex_of_gate.(e.Graph.dst_node) in
+      let dv = e.Graph.dst_v and sv = e.Graph.src_v in
+      if dv >= 0 then begin
         gate_edges.(dv) <- e :: gate_edges.(dv);
-        if Graph.retimed_weight g r e = 0 then
-          match (Netlist.Node.node c e.Graph.src_node).Netlist.Node.kind with
-          | Netlist.Node.Gate _ ->
-            let sv = g.Graph.vertex_of_gate.(e.Graph.src_node) in
-            indeg.(dv) <- indeg.(dv) + 1;
-            succs.(sv) <- dv :: succs.(sv)
-          | Netlist.Node.Pi _ | Netlist.Node.Dff _ -> ()
+        if sv >= 0 && Graph.retimed_weight r e = 0 then begin
+          indeg.(dv) <- indeg.(dv) + 1;
+          succs.(sv) <- dv :: succs.(sv)
+        end
       end)
     g.Graph.edges;
   let tap src w =
@@ -142,7 +139,7 @@ let materialize ?prefix_input g r =
     List.iter
       (fun (e : Graph.edge) ->
         fanins.(e.Graph.dst_pin) <-
-          tap e.Graph.src_node (Graph.retimed_weight g r e))
+          tap e.Graph.src_node (Graph.retimed_weight r e))
       gate_edges.(v);
     new_id.(gid) <-
       Netlist.Build.add_gate b fn nd.Netlist.Node.name fanins;
@@ -169,7 +166,7 @@ let materialize ?prefix_input g r =
       if e.Graph.dst_node < 0 then begin
         let name, _ = c.Netlist.Node.pos.(e.Graph.po_index) in
         Netlist.Build.add_po b name
-          (tap e.Graph.src_node (Graph.retimed_weight g r e))
+          (tap e.Graph.src_node (Graph.retimed_weight r e))
       end)
     g.Graph.edges;
   let out = Netlist.Build.finalize b in

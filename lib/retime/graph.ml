@@ -9,10 +9,12 @@
 
 type edge = {
   src_node : int;               (* netlist id: gate output, PI, or const DFF *)
+  src_v : int;                  (* dense vertex of a gate source, else -1 *)
   weight : int;                 (* registers along the connection *)
   (* destination: either pin [dst_pin] of gate [dst_node], or primary output
      [po_index] when dst_node < 0 *)
   dst_node : int;
+  dst_v : int;                  (* dense vertex of [dst_node], or -1 *)
   dst_pin : int;
   po_index : int;
 }
@@ -73,24 +75,22 @@ let of_netlist c =
   let vertex_of_gate = Array.make (Netlist.Node.num_nodes c) (-1) in
   Array.iteri (fun i id -> vertex_of_gate.(id) <- i) gates;
   let edges = ref [] in
+  let add f ~dst_node ~dst_pin ~po_index =
+    let src_node, weight = trace_back c is_const f in
+    let vertex id = if id < 0 then -1 else vertex_of_gate.(id) in
+    edges :=
+      { src_node; src_v = vertex src_node; weight; dst_node;
+        dst_v = vertex dst_node; dst_pin; po_index }
+      :: !edges
+  in
   Array.iter
     (fun gid ->
-      let nd = Netlist.Node.node c gid in
       Array.iteri
-        (fun pin f ->
-          let src_node, w = trace_back c is_const f in
-          edges :=
-            { src_node; weight = w; dst_node = gid; dst_pin = pin;
-              po_index = -1 }
-            :: !edges)
-        nd.Netlist.Node.fanins)
+        (fun pin f -> add f ~dst_node:gid ~dst_pin:pin ~po_index:(-1))
+        (Netlist.Node.node c gid).Netlist.Node.fanins)
     gates;
   Array.iteri
-    (fun k (_, id) ->
-      let src_node, w = trace_back c is_const id in
-      edges :=
-        { src_node; weight = w; dst_node = -1; dst_pin = 0; po_index = k }
-        :: !edges)
+    (fun k (_, id) -> add id ~dst_node:(-1) ~dst_pin:0 ~po_index:k)
     c.Netlist.Node.pos;
   let delays =
     Array.map
@@ -110,28 +110,26 @@ let of_netlist c =
     delays;
   }
 
-(* Lag of a physical node: gates carry the retiming value, PIs/POs (host)
-   and constant generators are pinned to 0. *)
-let lag g r node =
-  if node < 0 then 0
-  else
-    match (Netlist.Node.node g.circuit node).Netlist.Node.kind with
-    | Netlist.Node.Gate _ -> r.(g.vertex_of_gate.(node))
-    | Netlist.Node.Pi _ | Netlist.Node.Dff _ -> 0
+(* Lag of a dense vertex: gates carry the retiming value, the host (PIs and
+   POs) and constant generators, whose vertex is -1, are pinned to 0. *)
+let lag r v = if v < 0 then 0 else r.(v)
 
-let retimed_weight g r e = e.weight + lag g r e.dst_node - lag g r e.src_node
+let retimed_weight r e = e.weight + lag r e.dst_v - lag r e.src_v
 
-let legal g r = Array.for_all (fun e -> retimed_weight g r e >= 0) g.edges
+let legal g r = Array.for_all (fun e -> retimed_weight r e >= 0) g.edges
 
 (* Register count of the materialized circuit with per-source register-chain
    sharing: each physical source drives one chain as deep as its deepest
    out-edge. *)
 let total_registers_shared g r =
-  let best = Hashtbl.create 97 in
-  Array.iter
-    (fun e ->
-      let w = retimed_weight g r e in
-      let cur = try Hashtbl.find best e.src_node with Not_found -> 0 in
-      if w > cur then Hashtbl.replace best e.src_node w)
-    g.edges;
-  Hashtbl.fold (fun _ w acc -> acc + w) best 0
+  let best = Array.make (Netlist.Node.num_nodes g.circuit) 0 in
+  Array.fold_left
+    (fun acc e ->
+      let w = retimed_weight r e in
+      let cur = best.(e.src_node) in
+      if w > cur then begin
+        best.(e.src_node) <- w;
+        acc + w - cur
+      end
+      else acc)
+    0 g.edges

@@ -9,8 +9,11 @@
 
 type edge = {
   src_node : int;   (** netlist id: gate output, PI, or constant DFF *)
+  src_v : int;      (** dense vertex of a gate source; -1 for a PI or
+                        constant DFF *)
   weight : int;     (** registers along the connection *)
   dst_node : int;   (** reading gate id, or -1 for a primary output *)
+  dst_v : int;      (** dense vertex of [dst_node], or -1 *)
   dst_pin : int;
   po_index : int;   (** PO index when [dst_node = -1], else -1 *)
 }
@@ -33,11 +36,12 @@ val trace_back : Netlist.Node.t -> bool array -> int -> int * int
 
 val of_netlist : Netlist.Node.t -> t
 
-(** Lag of a physical node under lag function [r] (host/constants: 0). *)
-val lag : t -> int array -> int -> int
+(** Lag of dense vertex [v] under lag function [r]; vertex -1 (the host
+    or a constant generator) has lag 0. *)
+val lag : int array -> int -> int
 
 (** w_r(e) = w(e) + r(dst) - r(src). *)
-val retimed_weight : t -> int array -> edge -> int
+val retimed_weight : int array -> edge -> int
 
 (** All retimed weights non-negative. *)
 val legal : t -> int array -> bool

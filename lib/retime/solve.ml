@@ -1,8 +1,9 @@
 (* Minimum-period retiming via the Leiserson–Saxe FEAS algorithm and binary
    search over the clock period.  FEAS(P): start from r = 0; up to |V| - 1
    times, compute combinational arrival times on the retimed graph and
-   increment the lag of every vertex whose arrival exceeds P.  If the clock
-   period of the final retiming meets P and all retimed weights are
+   increment the lag of every vertex whose arrival exceeds P, stopping early
+   once no later pass can leave the retiming legal (see [feas]).  If the
+   clock period of the final retiming meets P and all retimed weights are
    non-negative, P is feasible. *)
 
 let log = Logs.Src.create "retime" ~doc:"retiming"
@@ -14,60 +15,116 @@ let m_feas_relaxations = Obs.Metrics.counter "retime.feas.relaxations"
 let m_search_probes = Obs.Metrics.counter "retime.search.probes"
 let m_deepen_moves = Obs.Metrics.counter "retime.deepen.moves"
 
-(* Combinational arrival times of the retimed graph: edges with retimed
-   weight <= 0 propagate combinationally.  Returns None if that subgraph has
-   a cycle (the retiming is broken). *)
+(* Edge indices grouped by dense vertex, as counted arrays: the edges [e]
+   with [key e = v >= 0] that satisfy [keep e] are
+   [idx.(start.(v)) .. idx.(start.(v + 1) - 1)], in edge order. *)
+let group n (edges : Graph.edge array) ~key ~keep =
+  let start = Array.make (n + 1) 0 in
+  Array.iter
+    (fun e ->
+      let v = key e in
+      if v >= 0 && keep e then start.(v + 1) <- start.(v + 1) + 1)
+    edges;
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let fill = Array.sub start 0 n in
+  let idx = Array.make start.(n) 0 in
+  Array.iteri
+    (fun i e ->
+      let v = key e in
+      if v >= 0 && keep e then begin
+        idx.(fill.(v)) <- i;
+        fill.(v) <- fill.(v) + 1
+      end)
+    edges;
+  (start, idx)
+
+(* Combinational arrival times of the retimed graph: gate-to-gate edges with
+   retimed weight <= 0 propagate combinationally.  Returns None if that
+   subgraph has a cycle (the retiming is broken).  Arrival times are maxima
+   of exact sums along paths, so the visiting order cannot change them. *)
 let arrivals g r =
   let n = Graph.num_gates g in
-  let delta = Array.make n 0.0 in
+  let edges = g.Graph.edges in
+  let start, idx =
+    group n edges
+      ~key:(fun e -> e.Graph.src_v)
+      ~keep:(fun e -> e.Graph.dst_v >= 0 && Graph.retimed_weight r e <= 0)
+  in
   let indeg = Array.make n 0 in
-  let succs = Array.make n [] in
-  (* per-gate incoming zero-weight edges from gates *)
   Array.iter
-    (fun (e : Graph.edge) ->
-      if e.Graph.dst_node >= 0 then begin
-        let w = Graph.retimed_weight g r e in
-        if w <= 0 then begin
-          let dst_v = g.Graph.vertex_of_gate.(e.Graph.dst_node) in
-          match
-            (Netlist.Node.node g.Graph.circuit e.Graph.src_node)
-              .Netlist.Node.kind
-          with
-          | Netlist.Node.Gate _ ->
-            let src_v = g.Graph.vertex_of_gate.(e.Graph.src_node) in
-            indeg.(dst_v) <- indeg.(dst_v) + 1;
-            succs.(src_v) <- dst_v :: succs.(src_v)
-          | Netlist.Node.Pi _ | Netlist.Node.Dff _ -> ()
-        end
-      end)
-    g.Graph.edges;
-  let queue = Queue.create () in
+    (fun i ->
+      let d = edges.(i).Graph.dst_v in
+      indeg.(d) <- indeg.(d) + 1)
+    idx;
+  let delta = Array.make n 0.0 in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   for v = 0 to n - 1 do
-    if indeg.(v) = 0 then Queue.add v queue
+    if indeg.(v) = 0 then begin
+      queue.(!tail) <- v;
+      incr tail
+    end
   done;
-  let processed = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    incr processed;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
     delta.(v) <- delta.(v) +. g.Graph.delays.(v);
-    List.iter
-      (fun s ->
-        if delta.(v) > delta.(s) then delta.(s) <- delta.(v);
-        indeg.(s) <- indeg.(s) - 1;
-        if indeg.(s) = 0 then Queue.add s queue)
-      succs.(v)
+    for k = start.(v) to start.(v + 1) - 1 do
+      let s = edges.(idx.(k)).Graph.dst_v in
+      if delta.(v) > delta.(s) then delta.(s) <- delta.(v);
+      indeg.(s) <- indeg.(s) - 1;
+      if indeg.(s) = 0 then begin
+        queue.(!tail) <- s;
+        incr tail
+      end
+    done
   done;
-  if !processed < n then None else Some delta
+  if !tail < n then None else Some delta
 
 let period_of g r =
   match arrivals g r with
   | None -> infinity
   | Some delta -> Array.fold_left max 0.0 delta
 
-(* FEAS: returns a legal retiming achieving period <= p, or None. *)
+(* dist.(v): the fewest registers on any path from gate [v] to a primary
+   output, max_int when there is none.  Bellman-Ford from the host; edges
+   are swept last to first because distances flow backwards, which only
+   saves sweeps. *)
+let output_distance g =
+  let edges = g.Graph.edges in
+  let dist = Array.make (Graph.num_gates g) max_int in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = Array.length edges - 1 downto 0 do
+      let e = edges.(i) in
+      let s = e.Graph.src_v and d = e.Graph.dst_v in
+      if s >= 0 && (d < 0 || dist.(d) < max_int) then begin
+        let via = e.Graph.weight + if d < 0 then 0 else dist.(d) in
+        if via < dist.(s) then begin
+          dist.(s) <- via;
+          changed := true
+        end
+      end
+    done
+  done;
+  dist
+
+(* FEAS: returns a legal retiming achieving period <= p, or None.
+   Early exit: lags only grow here, and the host's lag is pinned to 0, so
+   along any path from [v] to a primary output the retimed weights
+   telescope to W(path) - r(v).  Once r(v) > dist(v), the lightest such
+   path sums to a negative weight under this and every later retiming, so
+   some edge stays illegal and the full-pass loop could only end in None;
+   returning None now is exact.  Vertices with no path to an output
+   (dist = max_int) get no bound. *)
 let feas g ~period:p =
   Obs.Metrics.incr m_feas_calls;
   let n = Graph.num_gates g in
+  let dist = output_distance g in
   let r = Array.make n 0 in
   let rec loop i =
     match arrivals g r with
@@ -79,10 +136,14 @@ let feas g ~period:p =
       else if i >= n then None
       else begin
         Obs.Metrics.incr m_feas_relaxations;
+        let doomed = ref false in
         for v = 0 to n - 1 do
-          if delta.(v) > p +. 1e-9 then r.(v) <- r.(v) + 1
+          if delta.(v) > p +. 1e-9 then begin
+            r.(v) <- r.(v) + 1;
+            if r.(v) > dist.(v) then doomed := true
+          end
         done;
-        loop (i + 1)
+        if !doomed then None else loop (i + 1)
       end
   in
   loop 0
@@ -125,16 +186,31 @@ let retime_to_period g ~period =
    accepted move is exactly the paper's Figure-1 atomic transformation: a
    register at a gate's output is replaced by registers at its inputs, which
    multiplies registers across fanin and fanout — the mechanism that dilutes
-   the density of encoding. *)
+   the density of encoding.
+
+   Legality is checked incrementally: r(v) + 1 lowers the retimed weight of
+   each out-edge of [v] by one, raises each in-edge and leaves the rest
+   alone, so from a legal [r] the move is legal exactly when every out-edge
+   of [v] has retimed weight >= 1.  A self-loop keeps its weight; the rule
+   rejects one of weight 0, a combinational cycle the period check would
+   reject as well. *)
 let deepen g r ~period ~max_lag ~max_regs =
+  if not (Graph.legal g r) then invalid_arg "Solve.deepen: illegal lags";
   let n = Graph.num_gates g in
+  let edges = g.Graph.edges in
+  let start, out =
+    group n edges ~key:(fun e -> e.Graph.src_v) ~keep:(fun _ -> true)
+  in
+  let rec advanceable v k =
+    k >= start.(v + 1)
+    || (Graph.retimed_weight r edges.(out.(k)) >= 1 && advanceable v (k + 1))
+  in
   let try_move v =
-    if r.(v) >= max_lag then false
+    if r.(v) >= max_lag || not (advanceable v start.(v)) then false
     else begin
       r.(v) <- r.(v) + 1;
       let ok =
-        Graph.legal g r
-        && period_of g r <= period +. 1e-9
+        period_of g r <= period +. 1e-9
         && Graph.total_registers_shared g r <= max_regs
       in
       if not ok then r.(v) <- r.(v) - 1 else Obs.Metrics.incr m_deepen_moves;

@@ -124,6 +124,8 @@ let resolve_source ~verb ~config (req : Protocol.request) =
     let machine =
       match Fsm.Kiss.parse_string text with
       | m -> m
+      | exception Fsm.Kiss.Parse_error (line, msg) ->
+        bad "KISS2 parse error at line %d: %s" line msg
       | exception Failure msg -> bad "KISS2 parse error: %s" msg
       | exception Invalid_argument msg -> bad "KISS2 parse error: %s" msg
     in

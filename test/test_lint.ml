@@ -118,13 +118,13 @@ let test_seq_redundant_rule () =
       | Some p ->
         Alcotest.(check (option string))
           "proof cause" (Some "unreachable_activation")
-          (match Lint.Json.member "cause" p with
-          | Some (Lint.Json.String s) -> Some s
+          (match Obs.Json.member "cause" p with
+          | Some (Obs.Json.String s) -> Some s
           | _ -> None);
         Alcotest.(check (option string))
           "proof source" (Some "symbolic")
-          (match Lint.Json.member "source" p with
-          | Some (Lint.Json.String s) -> Some s
+          (match Obs.Json.member "source" p with
+          | Some (Obs.Json.String s) -> Some s
           | _ -> None))
     ds;
   (* driver level: the summary carries the count, and omitting the oracle
@@ -349,22 +349,22 @@ let test_fsm_benchmarks_deterministic () =
 let test_json_roundtrip () =
   let samples =
     [
-      Lint.Json.Null;
-      Lint.Json.Bool true;
-      Lint.Json.Int (-42);
-      Lint.Json.String "quote \" backslash \\ newline \n tab \t";
-      Lint.Json.List [ Lint.Json.Int 1; Lint.Json.String "x"; Lint.Json.Null ];
-      Lint.Json.Obj
+      Obs.Json.Null;
+      Obs.Json.Bool true;
+      Obs.Json.Int (-42);
+      Obs.Json.String "quote \" backslash \\ newline \n tab \t";
+      Obs.Json.List [ Obs.Json.Int 1; Obs.Json.String "x"; Obs.Json.Null ];
+      Obs.Json.Obj
         [
-          ("a", Lint.Json.List []);
-          ("b", Lint.Json.Obj [ ("nested", Lint.Json.Bool false) ]);
+          ("a", Obs.Json.List []);
+          ("b", Obs.Json.Obj [ ("nested", Obs.Json.Bool false) ]);
         ];
     ]
   in
   List.iter
     (fun j ->
-      let j' = Lint.Json.parse (Lint.Json.to_string j) in
-      Alcotest.(check bool) "parse inverts print" true (Lint.Json.equal j j'))
+      let j' = Obs.Json.parse (Obs.Json.to_string j) in
+      Alcotest.(check bool) "parse inverts print" true (Obs.Json.equal j j'))
     samples
 
 let test_diag_roundtrip () =
@@ -384,7 +384,7 @@ let test_diag_roundtrip () =
           "message with \"specials\"\n"
       in
       (* through the printer/parser as well, as the CLI emits text *)
-      let j = Lint.Json.parse (Lint.Json.to_string (Lint.Diag.to_json d)) in
+      let j = Obs.Json.parse (Obs.Json.to_string (Lint.Diag.to_json d)) in
       match Lint.Diag.of_json j with
       | Some d' -> Alcotest.(check bool) "diag round-trips" true (d = d')
       | None -> Alcotest.fail "of_json failed")
@@ -394,13 +394,13 @@ let test_report_json () =
   let c = constant_circuit () in
   let s = Lint.Report.lint_netlist c in
   let j = Lint.Report.netlist_to_json ~include_scoap:true ~name:"const" c s in
-  let j' = Lint.Json.parse (Lint.Json.to_string j) in
-  Alcotest.(check bool) "document round-trips" true (Lint.Json.equal j j');
-  match Lint.Json.member "summary" j' with
+  let j' = Obs.Json.parse (Obs.Json.to_string j) in
+  Alcotest.(check bool) "document round-trips" true (Obs.Json.equal j j');
+  match Obs.Json.member "summary" j' with
   | Some summary ->
     Alcotest.(check bool) "untestable exported" true
-      (Lint.Json.member "untestable" summary
-      = Some (Lint.Json.Int s.Lint.Report.untestable))
+      (Obs.Json.member "untestable" summary
+      = Some (Obs.Json.Int s.Lint.Report.untestable))
   | None -> Alcotest.fail "summary missing"
 
 (* --- name index --------------------------------------------------------------- *)

@@ -295,7 +295,19 @@ let test_plan_validation () =
   Alcotest.(check string) "atpg needs a circuit" "bad_request"
     (expect_bad {|{"verb":"atpg"}|});
   Alcotest.(check string) "bad blif is rejected at plan time" "bad_request"
-    (expect_bad {|{"verb":"atpg","circuit":{"blif":".model x\nnope\n"}}|})
+    (expect_bad {|{"verb":"atpg","circuit":{"blif":".model x\nnope\n"}}|});
+  (* a KISS2 Parse_error is the client's fault, not an internal error *)
+  match
+    Serve.Dispatch.plan
+      (request
+         {|{"verb":"reach","circuit":{"kiss2":".i 1\n.o 1\n.s 2\n0 a b\n"}}|})
+  with
+  | Error e ->
+    Alcotest.(check string) "bad kiss2 is rejected at plan time" "bad_request"
+      (P.error_code_name e.P.code);
+    Alcotest.(check bool) "kiss2 error names the line" true
+      (Helpers.contains_substring e.P.message "line 4")
+  | Ok _ -> Alcotest.fail "bad kiss2 must not plan"
 
 let test_stats_fields () =
   let j = J.Obj (Serve.Dispatch.stats_fields ()) in
