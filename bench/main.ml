@@ -246,6 +246,8 @@ let run_atpg_json ?(file = "BENCH_atpg.json") () =
      grid order, so the printed lines and the JSON records keep the
      sequential layout); [last_outcome] is domain-local and read inside
      the cell, right after its lookup. *)
+  let classified = Obs.Metrics.counter "untest.faults_classified" in
+  let classified0 = Obs.Metrics.count classified in
   let records =
     Exec.Pool.map_list
       (fun (engine, kind, bench, circuit) ->
@@ -255,6 +257,36 @@ let run_atpg_json ?(file = "BENCH_atpg.json") () =
         let cache = Core.Cache.outcome_string (Core.Cache.last_outcome ()) in
         (engine, bench, r, wall, cache))
       cells
+  in
+  (* Each circuit's product classification is single-flight: the grid
+     classifies every circuit exactly once, however many engine cells
+     miss on it at the same time.  With a store, a circuit whose record
+     was already on disk is classified zero times. *)
+  let classified = Obs.Metrics.count classified - classified0 in
+  let fault_counts =
+    List.fold_left
+      (fun acc (_, c) ->
+        let h = Netlist.Structhash.circuit c in
+        if List.mem_assoc h acc then acc
+        else (h, Array.length (Fsim.Collapse.list c)) :: acc)
+      [] circuits
+    |> List.map snd
+  in
+  let once =
+    if Store.Disk.enabled () then
+      List.fold_left
+        (fun sums n -> sums @ List.map (( + ) n) sums)
+        [ 0 ] fault_counts
+    else [ List.fold_left ( + ) 0 fault_counts ]
+  in
+  if not (List.mem classified once) then
+    check_failed
+      "atpg grid classified %d faults; classifying each of its circuits once \
+       gives %s"
+      classified
+      (String.concat " or " (List.map string_of_int once));
+  let records =
+    records
     |> List.map (fun (engine, bench, r, wall, cache) ->
            let proved =
              Array.fold_left

@@ -533,15 +533,14 @@ type env = {
   single_frame_live : bool ref;
       (* cleared on the first Node_limit inside C3: the shared manager
          is full, so later single-frame checks would only fail again *)
-  product_nodes : int;  (* per-fault C4 budget; 0 disables the stage *)
-  presim_detected : bool array;
-      (* C4 prefilter: faults random simulation already detects *)
   work : int ref;
 }
 
 let static_const env id = Sim.Value3.to_bool_opt env.values.(id)
 
-let classify_fault env i (f : Fsim.Fault.t) =
+(* Stages A-C3 on one fault, in fault order: C3's shared manager and its
+   [single_frame_live] switch carry state from one fault to the next. *)
+let classify_fault env (f : Fsim.Fault.t) =
   let site = Fsim.Fault.site_node f.Fsim.Fault.site in
   let src = fault_source env.c f in
   if not env.sobs.(site) then
@@ -555,40 +554,55 @@ let classify_fault env i (f : Fsim.Fault.t) =
     && not (po_hit env.c (effect_cone env.c ~const:(static_const env) ~work:env.work f))
   then Untestable { cause = Effect_confined; evidence = Ternary }
   else
-    let sym =
-      match env.reach with
-      | None -> Unknown
-      | Some (r, rc) ->
-        if rc.(src) = Some f.Fsim.Fault.stuck then
-          Untestable { cause = Unreachable_activation; evidence = Symbolic }
-        else if
-          env.sharper
-          &&
-          let e =
-            effect_cone env.c ~const:(fun id -> rc.(id)) ~work:env.work f
-          in
-          (not (po_hit env.c e)) && not (dff_hit env.c e)
-        then Untestable { cause = Effect_confined; evidence = Symbolic }
-        else if !(env.single_frame_live) then begin
-          match single_frame_confined r ~work:env.work f with
-          | true -> Untestable { cause = Effect_confined; evidence = Symbolic }
-          | false -> Unknown
-          | exception (Bdd.Node_limit | Invalid_argument _) ->
-            env.single_frame_live := false;
-            Unknown
-        end
-        else Unknown
-    in
-    match sym with
-    | Untestable _ -> sym
-    | Unknown ->
-      if
-        env.product_nodes > 0
-        && (not env.presim_detected.(i))
-        && product_undetectable ~max_nodes:env.product_nodes ~work:env.work
-             env.c f
-      then Untestable { cause = Machine_equivalent; evidence = Symbolic }
+    match env.reach with
+    | None -> Unknown
+    | Some (r, rc) ->
+      if rc.(src) = Some f.Fsim.Fault.stuck then
+        Untestable { cause = Unreachable_activation; evidence = Symbolic }
+      else if
+        env.sharper
+        &&
+        let e =
+          effect_cone env.c ~const:(fun id -> rc.(id)) ~work:env.work f
+        in
+        (not (po_hit env.c e)) && not (dff_hit env.c e)
+      then Untestable { cause = Effect_confined; evidence = Symbolic }
+      else if !(env.single_frame_live) then begin
+        match single_frame_confined r ~work:env.work f with
+        | true -> Untestable { cause = Effect_confined; evidence = Symbolic }
+        | false -> Unknown
+        | exception (Bdd.Node_limit | Invalid_argument _) ->
+          env.single_frame_live := false;
+          Unknown
+      end
       else Unknown
+
+(* C4 on the residue: the faults A-C3 left [Unknown] that presimulation
+   did not detect.  Each check builds its own manager and reads only the
+   circuit and its fault, so the checks run as independent pool tasks,
+   each counting its own work; the counts are added back in fault order.
+   Verdicts and the work total are the same at any job count. *)
+let product_stage ~max_nodes ~work c faults ~presim_detected verdicts =
+  let residue =
+    List.filter
+      (fun i -> verdicts.(i) = Unknown && not presim_detected.(i))
+      (List.init (Array.length faults) Fun.id)
+  in
+  let checks =
+    Exec.Pool.map_list
+      (fun i ->
+        let w = ref 0 in
+        let proved = product_undetectable ~max_nodes ~work:w c faults.(i) in
+        (proved, !w))
+      residue
+  in
+  List.iter2
+    (fun i (proved, w) ->
+      work := !work + w;
+      if proved then
+        verdicts.(i) <-
+          Untestable { cause = Machine_equivalent; evidence = Symbolic })
+    residue checks
 
 let classify ?(symbolic = true) ?(max_nodes = Symreach.default_max_nodes)
     ?(product = false) ?faults c =
@@ -627,23 +641,28 @@ let classify ?(symbolic = true) ?(max_nodes = Symreach.default_max_nodes)
         rc;
       !s
   in
+  (* C4 rides on the symbolic opt-in: static-only classification must
+     stay BDD-free *)
+  let product = symbolic && product in
+  let presim_detected =
+    if product then
+      Obs.Trace.span "untest.presim" (fun () -> presimulate ~work c faults)
+    else [||]
+  in
   let env =
     { c; sobs; values; has_consts; reach; sharper;
-      single_frame_live = ref true;
-      (* C4 rides on the symbolic opt-in: static-only classification
-         must stay BDD-free.  A tenth of the reachable-set budget per
-         fault: the pair space squares the state space, so a fault that
-         needs more nodes than that is almost always a blow-up, and
-         blow-ups cost wall time proportional to the budget — per-fault,
-         across potentially thousands of faults. *)
-      product_nodes = (if symbolic && product then max 1 (max_nodes / 10) else 0);
-      presim_detected =
-        (if symbolic && product then
-           Obs.Trace.span "untest.presim" (fun () -> presimulate ~work c faults)
-         else Array.make (Array.length faults) false);
-      work }
+      single_frame_live = ref true; work }
   in
-  let verdicts = Array.mapi (classify_fault env) faults in
+  let verdicts = Array.map (classify_fault env) faults in
+  if product then
+    Obs.Trace.span "untest.product" (fun () ->
+        (* A tenth of the reachable-set budget per fault: the pair space
+           squares the state space, so a fault that needs more nodes
+           than that is almost always a blow-up, and blow-ups cost wall
+           time proportional to the budget — per-fault, across
+           potentially thousands of faults. *)
+        product_stage ~max_nodes:(max 1 (max_nodes / 10)) ~work c faults
+          ~presim_detected verdicts);
   let count p = Array.fold_left (fun a v -> if p v then a + 1 else a) 0 verdicts in
   let by_evidence ev =
     count (function Untestable p -> p.evidence = ev | Unknown -> false)

@@ -62,7 +62,9 @@ val v :
     single-stuck-at sequential redundancy but the most expensive stage
     by far; each fault gets a fresh manager with a tenth of [max_nodes]
     as its budget (blow-up wall time is proportional to the budget and
-    paid per fault), so a blow-up costs only that fault its verdict. *)
+    paid per fault), so a blow-up costs only that fault its verdict.
+    Those per-fault checks are independent and run as {!Exec.Pool}
+    tasks; verdicts and [summary.work] are the same at any job count. *)
 val classify :
   ?symbolic:bool ->
   ?max_nodes:int ->

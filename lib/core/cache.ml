@@ -8,9 +8,12 @@
    same circuit under two names shares one computation.
 
    Two layers.  The per-process memory table serves repeat lookups within
-   a run; with SATPG_STORE=dir set, Store.Disk adds a persistent layer
-   underneath, so a warm rerun recomputes nothing.  Every lookup feeds
-   the core.cache.* counters — memory hits, disk hits/misses/writes,
+   a run and is single-flight: concurrent misses on one key compute it
+   once, the other domains wait for that result while helping the pool
+   (see [memo]).  With SATPG_STORE=dir set, Store.Disk adds a persistent
+   layer underneath, so a warm rerun recomputes nothing.  Every lookup
+   feeds the core.cache.* counters — memory hits (coalesced waits
+   included, and also counted apart), disk hits/misses/writes,
    corrupt-record errors — and the `satpg atpg`/`tables` commands report
    them; code paths that knowingly sidestep the cache (e.g. --scoap
    guided runs) record a bypass. *)
@@ -29,6 +32,7 @@ let disk_hits = Obs.Metrics.counter "core.cache.disk_hits"
 let disk_misses = Obs.Metrics.counter "core.cache.disk_misses"
 let disk_writes = Obs.Metrics.counter "core.cache.disk_writes"
 let disk_errors = Obs.Metrics.counter "core.cache.disk_errors"
+let coalesced = Obs.Metrics.counter "core.cache.coalesced"
 
 (* The cache outcome of the most recent [atpg]/[reach]/[structural] call
    (or explicit bypass note), for one-line CLI reporting.  Domain-local:
@@ -51,73 +55,126 @@ let outcome_string = function
 
 let last_outcome () = Domain.DLS.get last
 
-(* Guards the memory tables.  Held only around find/replace, never across
-   a [compute] — two domains missing the same key concurrently may both
-   compute it, but the computations are deterministic functions of the
-   key, so the duplicate replace is idempotent; serializing hours of ATPG
-   under a table lock would be far worse. *)
+(* The memory layer: one table of finished results and one of in-flight
+   computations per analysis, all under [mu].  The lock is held only
+   around table reads and writes, never across a computation.
+
+   Single-flight: the first domain to miss a key registers a latch
+   (Exec.Pool.latch) for it and computes; a domain that misses on a key
+   in flight awaits the latch, helping the pool run the work that
+   computation spreads over it (the product stage of a classification,
+   an engine's fault batches), then reads the finished result.  It
+   counts as a memory hit and as [coalesced].  [Exec.Pool.await]
+   refuses to wait where waiting could deadlock: on the domain that is
+   computing the key (a re-entrant lookup), inside a task of a set made
+   after the computation began (it may be part of that computation), or
+   while the domain holds a newer latch (closing a wait-for cycle).
+   Such a caller computes the value itself and counts a miss; results
+   are deterministic functions of the key, so the duplicate replace is
+   idempotent.  If the computing domain raises, its waiters retry the
+   lookup from the start. *)
 let mu = Mutex.create ()
+
+type 'a table = {
+  results : (string, 'a) Hashtbl.t;
+  flights : (string, Exec.Pool.latch) Hashtbl.t;
+}
+
+let table () = { results = Hashtbl.create 64; flights = Hashtbl.create 8 }
+
+let hit r =
+  Obs.Metrics.incr hits;
+  set_last Hit;
+  r
+
+let rec memo t ~key fill =
+  let found =
+    Mutex.protect mu (fun () ->
+        match Hashtbl.find_opt t.results key with
+        | Some r -> `Done r
+        | None ->
+          (match Hashtbl.find_opt t.flights key with
+           | Some l -> `In_flight l
+           | None ->
+             let l = Exec.Pool.latch () in
+             Hashtbl.replace t.flights key l;
+             `Mine l))
+  in
+  let compute () =
+    let r = fill () in
+    Mutex.protect mu (fun () -> Hashtbl.replace t.results key r);
+    r
+  in
+  match found with
+  | `Done r -> hit r
+  | `In_flight l ->
+    if Exec.Pool.await l then
+      match Mutex.protect mu (fun () -> Hashtbl.find_opt t.results key) with
+      | Some r ->
+        Obs.Metrics.incr coalesced;
+        hit r
+      | None -> memo t ~key fill
+    else compute ()
+  | `Mine l ->
+    Exec.Pool.hold l (fun () ->
+        Fun.protect
+          ~finally:(fun () ->
+            Mutex.protect mu (fun () -> Hashtbl.remove t.flights key))
+          compute)
 
 (* Memory first, then (when SATPG_STORE is set) the disk record, then a
    fresh computation whose result back-fills both layers.  A corrupt disk
    record is counted and recomputed over, never propagated. *)
-let lookup tbl ~skind ~key ~name ~encode ~decode compute =
-  match Mutex.protect mu (fun () -> Hashtbl.find_opt tbl key) with
+let lookup t ~skind ~key ~name ~encode ~decode compute =
+  memo t ~key @@ fun () ->
+  let from_disk =
+    if not (Store.Disk.enabled ()) then None
+    else
+      match Store.Disk.load skind ~key with
+      | Store.Disk.Found payload ->
+        (match decode payload with
+         | Some r ->
+           Obs.Metrics.incr disk_hits;
+           Some r
+         | None ->
+           Obs.Metrics.incr disk_errors;
+           None)
+      | Store.Disk.Absent ->
+        Obs.Metrics.incr disk_misses;
+        None
+      | Store.Disk.Corrupt _ ->
+        Obs.Metrics.incr disk_errors;
+        None
+  in
+  match from_disk with
   | Some r ->
-    Obs.Metrics.incr hits;
-    set_last Hit;
+    set_last Disk_hit;
     r
   | None ->
-    let from_disk =
-      if not (Store.Disk.enabled ()) then None
-      else
-        match Store.Disk.load skind ~key with
-        | Store.Disk.Found payload ->
-          (match decode payload with
-           | Some r ->
-             Obs.Metrics.incr disk_hits;
-             Some r
-           | None ->
-             Obs.Metrics.incr disk_errors;
-             None)
-        | Store.Disk.Absent ->
-          Obs.Metrics.incr disk_misses;
-          None
-        | Store.Disk.Corrupt _ ->
-          Obs.Metrics.incr disk_errors;
-          None
-    in
-    (match from_disk with
-     | Some r ->
-       set_last Disk_hit;
-       Mutex.protect mu (fun () -> Hashtbl.replace tbl key r);
-       r
-     | None ->
-       Obs.Metrics.incr misses;
-       set_last Miss;
-       let r = compute () in
-       Mutex.protect mu (fun () -> Hashtbl.replace tbl key r);
-       if Store.Disk.save skind ~key ~name (encode r) then
-         Obs.Metrics.incr disk_writes;
-       r)
+    Obs.Metrics.incr misses;
+    set_last Miss;
+    let r = compute () in
+    if Store.Disk.save skind ~key ~name (encode r) then
+      Obs.Metrics.incr disk_writes;
+    r
 
-let atpg_results : (string, Atpg.Types.result) Hashtbl.t = Hashtbl.create 64
-let classify_results : (string, Analysis.Untest.t) Hashtbl.t = Hashtbl.create 64
-let reach_results : (string, Analysis.Reach.result) Hashtbl.t = Hashtbl.create 64
-let symreach_results : (string, Analysis.Symreach.summary) Hashtbl.t =
-  Hashtbl.create 64
-let structural_results : (string, Analysis.Structural.result) Hashtbl.t =
-  Hashtbl.create 64
+let atpg_results : Atpg.Types.result table = table ()
+let classify_results : Analysis.Untest.t table = table ()
+let reach_results : Analysis.Reach.result table = table ()
+let symreach_results : Analysis.Symreach.summary table = table ()
+let structural_results : Analysis.Structural.result table = table ()
 
 (* Drop the per-process memory layer (disk records stay).  For tests and
-   long-lived callers that re-synthesize under changed budgets. *)
+   long-lived callers that re-synthesize under changed budgets.
+   Computations in flight still complete and record their results. *)
 let reset_memory () =
+  let clear t = Hashtbl.reset t.results in
   Mutex.protect mu (fun () ->
-      Hashtbl.reset atpg_results;
-      Hashtbl.reset classify_results;
-      Hashtbl.reset reach_results;
-      Hashtbl.reset symreach_results;
-      Hashtbl.reset structural_results)
+      clear atpg_results;
+      clear classify_results;
+      clear reach_results;
+      clear symreach_results;
+      clear structural_results)
 
 type classify_universe = Collapsed | Invariant
 
@@ -147,6 +204,13 @@ let classify ?(symbolic = true) ?(product = false) ?(universe = Collapsed)
         | Invariant -> Some (Analysis.Untest.invariant_faults c)
       in
       Analysis.Untest.classify ~symbolic ~max_nodes ~product ?faults c)
+
+(* The classification [atpg ~prove_untestable] prunes against: the
+   default [classify ~product:true] on the collapsed universe. *)
+let prove_classify_fingerprint =
+  Store.Key.classify_fingerprint ~symbolic:true
+    ~max_nodes:Analysis.Symreach.default_max_nodes ~product:true
+    ~universe:(universe_name Collapsed)
 
 let atpg ?(prove_untestable = false) ?struct_learn ?config kind ~name c =
   let config =
@@ -185,11 +249,7 @@ let atpg ?(prove_untestable = false) ?struct_learn ?config kind ~name c =
       (* the full cascade including the exact product stage: the engines
          are about to spend real budget, so buy every sound proof first *)
       let cls = classify ~product:true ~name c in
-      ( Some (Analysis.Untest.prune cls),
-        Some
-          (Store.Key.classify_fingerprint ~symbolic:true
-             ~max_nodes:Analysis.Symreach.default_max_nodes ~product:true
-             ~universe:(universe_name Collapsed)) )
+      (Some (Analysis.Untest.prune cls), Some prove_classify_fingerprint)
   in
   let key =
     Store.Key.atpg ~engine:(atpg_kind_name kind) ~config ?classify:classify_fp
@@ -281,8 +341,10 @@ let structural ~name c =
 (* One-line summary of the cache counters, for end-of-run reporting. *)
 let pp_summary ppf () =
   Fmt.pf ppf
-    "cache: %d memory hits, %d disk hits, %d misses, %d bypassed%s"
+    "cache: %d memory hits (%d coalesced), %d disk hits, %d misses, %d \
+     bypassed%s"
     (Obs.Metrics.count hits)
+    (Obs.Metrics.count coalesced)
     (Obs.Metrics.count disk_hits)
     (Obs.Metrics.count misses)
     (Obs.Metrics.count bypasses)

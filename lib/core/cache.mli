@@ -18,7 +18,9 @@ val atpg_kind_name : atpg_kind -> string
 (** {1 Cache observability}
 
     Every lookup increments [core.cache.hits]/[core.cache.misses] in
-    {!Obs.Metrics.global}; the disk layer adds
+    {!Obs.Metrics.global}.  A lookup that waited for another domain's
+    computation of the same key (see {!memo}) is a hit and also bumps
+    [core.cache.coalesced].  The disk layer adds
     [core.cache.disk_hits]/[disk_misses]/[disk_writes]/[disk_errors]
     (the last counts corrupt or stale records that were recomputed
     over).  Paths that knowingly sidestep the cache record a bypass.
@@ -40,6 +42,29 @@ val pp_summary : Format.formatter -> unit -> unit
 
 (** Drop the per-process memory layer (disk records stay). *)
 val reset_memory : unit -> unit
+
+(** {1 The memory layer}
+
+    Every analysis below memoizes through one of these tables. *)
+
+(** Finished results and in-flight computations by key, domain-safe. *)
+type 'a table
+
+(** A fresh, empty table. *)
+val table : unit -> 'a table
+
+(** [memo t ~key fill] returns [t]'s result for [key], running [fill]
+    on a miss.  Single-flight: while one domain runs [fill] for [key],
+    other domains that miss on [key] wait for its result instead of
+    computing it, and meanwhile run pool tasks created since that
+    computation began ({!Exec.Pool.await}).  A lookup that could
+    deadlock by waiting — on the computing domain itself, from a task
+    of a set made after the computation began, or closing a wait-for
+    cycle between two computations — runs [fill] itself; [fill] must
+    therefore be a deterministic function of [key].  Counts a hit for a
+    finished or awaited result (and [coalesced] for the latter); [fill]
+    counts its own misses. *)
+val memo : 'a table -> key:string -> (unit -> 'a) -> 'a
 
 (** {1 Fault classification} *)
 
@@ -64,6 +89,11 @@ val classify :
   name:string ->
   Netlist.Node.t ->
   Analysis.Untest.t
+
+(** Fingerprint of the classification {!atpg} [~prove_untestable:true]
+    prunes against ([classify ~product:true], default budget, collapsed
+    universe); it joins the pruned run's cache key. *)
+val prove_classify_fingerprint : string
 
 (** Run (or recall) an engine on a circuit; [name] labels the persisted
     record but plays no part in the cache key.  [prove_untestable]

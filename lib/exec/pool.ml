@@ -19,14 +19,33 @@
    inline path — no domains, no capture, no locks — so the single-job
    build is byte-identical to the pre-parallel code.
 
-   Scheduling: one shared FIFO of task sets guarded by a mutex.  Workers
-   (and callers waiting on their own set) claim the lowest unclaimed index
-   of the first set that still has unclaimed work.  A caller participates
-   in its own set first, then helps any other set while its own has tasks
-   still in flight on other domains — a nested caller (a task that itself
-   calls [map_array]) therefore never blocks the pool: if every domain is
-   waiting, every set is fully claimed, so each waiter's set finishes and
-   the waits unwind from the innermost nesting level outwards.
+   Scheduling: one shared FIFO of task sets guarded by a mutex.  Every
+   set, and every latch (below), takes the next number of one counter
+   when it is made, so "newer" means "made later".  A domain's position
+   is the number of the innermost task or held latch it is running (-1
+   outside both); it only grows along a domain's stack of nested work.
+
+   - Workers claim the lowest unclaimed index of the first set that
+     still has unclaimed work.
+   - A caller waiting on its own set claims its own tasks first, then
+     helps only newer sets while its own has tasks in flight on other
+     domains.  It never claims a task of an older set: an outer grid
+     cell started from inside a nested set would hold that nested set's
+     waiter (and anything the nested set was computing for) hostage for
+     a whole cell.
+   - A latch is a one-shot event for a computation that other domains
+     may wait on (Core.Cache's single-flight misses).  A waiter helps
+     only sets newer than the latch, and a domain waits only on a latch
+     newer than its own position; otherwise [await] refuses and the
+     caller computes the value itself.
+
+   Deadlock freedom: everything a blocked domain waits for (a set it
+   drives, a latch it awaits) is newer than its position, and anything
+   the owner of a set task or latch blocks on in turn is newer still.
+   Take the newest thing anyone waits for: the domain running its
+   in-flight task (or holding it) is positioned at it and cannot be
+   blocked on anything newer, so it makes progress; by induction every
+   wait ends.
 
    The worker pool is a high-water mark: workers are spawned on demand up
    to [jobs () - 1] and kept for the process lifetime.  Lowering the job
@@ -90,6 +109,7 @@ let domains_used () = Mutex.protect used_mu (fun () -> Hashtbl.length used)
 (* ---------- task sets and the shared queue ---------- *)
 
 type set = {
+  seq : int;                 (* order of creation, shared with latches *)
   total : int;
   mutable next : int;        (* lowest unclaimed index; = total when drained *)
   mutable unfinished : int;  (* claimed-or-not tasks not yet completed *)
@@ -102,10 +122,28 @@ let queue : set list ref = ref []   (* sets with unclaimed work, FIFO *)
 let workers : unit Domain.t list ref = ref []
 let shutdown = ref false            (* test hook; never set in production *)
 
+(* Under [mu]: the next number in the creation order of sets and
+   latches. *)
+let created = ref 0
+
+let next_seq () =
+  let n = !created in
+  created := n + 1;
+  n
+
+(* The calling domain's position: the number of the innermost task or
+   held latch it is running, -1 outside both. *)
+let position : int Domain.DLS.key = Domain.DLS.new_key (fun () -> -1)
+
+let at_position p f =
+  let saved = Domain.DLS.get position in
+  Domain.DLS.set position p;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set position saved) f
+
 (* Under [mu]: claim one task, preferring [prefer] if it still has
-   unclaimed work, else the head-most queued set.  Drained sets leave the
-   queue here. *)
-let claim ?prefer () =
+   unclaimed work, else the head-most queued set numbered above [above].
+   Drained sets leave the queue here. *)
+let claim ?prefer ~above () =
   let take s =
     let i = s.next in
     s.next <- i + 1;
@@ -116,7 +154,7 @@ let claim ?prefer () =
   match prefer with
   | Some s when s.next < s.total -> take s
   | _ ->
-    (match List.find_opt (fun s -> s.next < s.total) !queue with
+    (match List.find_opt (fun s -> s.seq > above && s.next < s.total) !queue with
      | Some s -> take s
      | None -> None)
 
@@ -127,17 +165,20 @@ let finish_one s =
 
 let exec_claimed (s, i) =
   note_domain_used ();
-  s.run_one i;
+  at_position s.seq (fun () -> s.run_one i);
   finish_one s
 
-let worker_loop () =
+(* Claim and run tasks ([claim ?prefer ~above]) until [finished ()],
+   sleeping only when nothing is claimable; [finished] is read under
+   [mu].  Returns at once when [finished ()] holds on entry. *)
+let help ?prefer ~above finished =
   let rec loop () =
     let claimed =
       Mutex.protect mu (fun () ->
           let rec wait () =
-            if !shutdown then None
+            if finished () then None
             else
-              match claim () with
+              match claim ?prefer ~above () with
               | Some c -> Some c
               | None ->
                 Condition.wait cv mu;
@@ -152,6 +193,8 @@ let worker_loop () =
       loop ()
   in
   loop ()
+
+let worker_loop () = help ~above:(-1) (fun () -> !shutdown)
 
 let ensure_workers wanted =
   Mutex.protect mu (fun () ->
@@ -161,33 +204,35 @@ let ensure_workers wanted =
       done)
 
 (* Run a set to completion from the submitting domain: claim own tasks
-   first, help other sets while own tasks are in flight elsewhere, sleep
-   only when there is nothing claimable anywhere. *)
+   first, help newer sets while own tasks are in flight elsewhere, sleep
+   only when there is nothing claimable among them. *)
 let drive s =
   Mutex.protect mu (fun () ->
       queue := !queue @ [ s ];
       Condition.broadcast cv);
-  let rec loop () =
-    let claimed =
+  help ~prefer:s ~above:s.seq (fun () -> s.unfinished = 0)
+
+(* ---------- latches ---------- *)
+
+type latch = { lseq : int; mutable released : bool }
+
+let latch () =
+  Mutex.protect mu (fun () -> { lseq = next_seq (); released = false })
+
+let hold l f =
+  Fun.protect
+    ~finally:(fun () ->
       Mutex.protect mu (fun () ->
-          let rec wait () =
-            if s.unfinished = 0 then None
-            else
-              match claim ~prefer:s () with
-              | Some c -> Some c
-              | None ->
-                Condition.wait cv mu;
-                wait ()
-          in
-          wait ())
-    in
-    match claimed with
-    | None -> ()
-    | Some c ->
-      exec_claimed c;
-      loop ()
-  in
-  loop ()
+          l.released <- true;
+          Condition.broadcast cv))
+    (fun () -> at_position l.lseq f)
+
+let await l =
+  if Domain.DLS.get position >= l.lseq then false
+  else begin
+    help ~above:l.lseq (fun () -> l.released);
+    true
+  end
 
 (* ---------- deferred results ---------- *)
 
@@ -219,7 +264,10 @@ let run_set n f =
        that claimed it, and read only after [unfinished] reaches 0. *)
     slots.(i) <- Some { value; delta }
   in
-  let s = { total = n; next = 0; unfinished = n; run_one } in
+  let s =
+    Mutex.protect mu (fun () ->
+        { seq = next_seq (); total = n; next = 0; unfinished = n; run_one })
+  in
   ensure_workers (jobs () - 1);
   note_domain_used ();
   drive s;

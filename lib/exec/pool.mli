@@ -16,8 +16,16 @@
     Tasks must not assume exclusive access to shared mutable state other
     than their own slot; anything they touch concurrently must be
     domain-safe.  Nested submission is supported: a task may itself call
-    [run]/[map_*], and the submitting domain helps execute queued work
-    while waiting, so nesting cannot deadlock the pool. *)
+    [run]/[map_*].
+
+    Scheduling: sets and latches are numbered in order of creation, and
+    a domain's {e position} is the number of the innermost task or held
+    latch it is running.  Worker domains claim tasks of any set.  A
+    submitting caller runs its own set's tasks first and, while some are
+    still in flight on other domains, helps only newer sets — never an
+    older, outer one.  A latch waiter helps only sets newer than the
+    latch.  Every wait is therefore on something newer than the waiter's
+    position, so nesting cannot deadlock the pool. *)
 
 (** {1 Job count} *)
 
@@ -65,6 +73,32 @@ val run_deferred : int -> (int -> 'a) -> 'a deferred array
 val peek : 'a deferred -> 'a option
 
 val commit : 'a deferred -> 'a
+
+(** {1 Latches}
+
+    A latch is a one-shot event marking a computation other domains may
+    wait for instead of repeating it ([Core.Cache]'s single-flight
+    misses).  It is numbered like a task set: sets submitted after
+    {!latch} returns are newer than it. *)
+
+type latch
+
+val latch : unit -> latch
+
+(** [hold l f] runs [f] as the computation [l] stands for: the calling
+    domain is positioned at [l] while [f] runs, and [l] is released when
+    [f] returns or raises.  Make [f]'s result visible to waiters before
+    it returns. *)
+val hold : latch -> (unit -> 'a) -> 'a
+
+(** [await l] blocks until [l] is released, running tasks of sets newer
+    than [l] meanwhile (the work [l]'s computation spreads over the
+    pool), and returns [true].  It returns [false] at once, without
+    waiting, when the calling domain is positioned at or after [l]: it
+    holds [l] itself, runs a task of a set made after [l], or holds a
+    newer latch.  Waiting there could deadlock, so the caller must
+    compute the value itself. *)
+val await : latch -> bool
 
 (** {1 Introspection / test hooks} *)
 

@@ -266,12 +266,7 @@ let plan_atpg ~config ~name ~circuit ~hash =
   let request_config = atpg_request_config ~engine ~budget in
   let effective = atpg_effective_config ~engine ~learn request_config in
   let classify_fp =
-    if not prove then None
-    else
-      Some
-        (Store.Key.classify_fingerprint ~symbolic:true
-           ~max_nodes:Analysis.Symreach.default_max_nodes ~product:true
-           ~universe:"collapsed")
+    if prove then Some Core.Cache.prove_classify_fingerprint else None
   in
   let key =
     Store.Key.atpg

@@ -194,7 +194,110 @@ let test_cache_concurrent () =
   let dh = Obs.Metrics.count hits - h0
   and dm = Obs.Metrics.count misses - m0 in
   Alcotest.(check int) "every lookup is a hit or a miss" n (dh + dm);
-  Alcotest.(check bool) "at least one computed" true (dm >= 1)
+  Alcotest.(check int) "computed exactly once" 1 dm;
+  Alcotest.(check int) "every other lookup is a hit" (n - 1) dh
+
+(* ----------------------------------------------- single-flight deadlock - *)
+
+(* Spin until [cond ()], failing after [secs]: the tests below need two
+   things in flight at once, and a lost wake-up must fail, not hang. *)
+let spin_until ?(secs = 20.0) what cond =
+  let t0 = Unix.gettimeofday () in
+  while not (cond ()) do
+    if Unix.gettimeofday () -. t0 > secs then
+      Alcotest.failf "timed out waiting for %s" what;
+    Domain.cpu_relax ()
+  done
+
+(* Keys 0 and 1, computed on two domains at once, each computation
+   looking the other key up: whichever owner meets the other in flight
+   second would close a wait-for cycle, so it computes that key itself. *)
+let test_memo_cross_keys () =
+  with_jobs 4 @@ fun () ->
+  let t = Core.Cache.table () in
+  let started = Atomic.make 0 in
+  let entered = [| Atomic.make false; Atomic.make false |] in
+  let rec value k =
+    Core.Cache.memo t ~key:(string_of_int k) (fun () ->
+        (* only the first computation of a key waits for the other's
+           and looks it up; a recomputation returns straight away *)
+        if Atomic.compare_and_set entered.(k) false true then begin
+          Atomic.incr started;
+          spin_until "both computations" (fun () -> Atomic.get started >= 2);
+          ignore (value (1 - k))
+        end;
+        100 + k)
+  in
+  let got = Exec.Pool.run 8 (fun i -> value (i mod 2)) in
+  Alcotest.(check (array int))
+    "every caller sees its key's value"
+    (Array.init 8 (fun i -> 100 + (i mod 2)))
+    got
+
+(* A computation that looks up the key being computed, directly and
+   from nested pool tasks: both belong to the computation, so they
+   compute the value themselves instead of waiting for it.  The outer
+   lookups wait (and help run the nested tasks), so the outer
+   computation runs once. *)
+let test_memo_nested_self () =
+  with_jobs 4 @@ fun () ->
+  let t = Core.Cache.table () in
+  let outer = Atomic.make 0 in
+  let value () =
+    Core.Cache.memo t ~key:"self" (fun () ->
+        Atomic.incr outer;
+        let direct = Core.Cache.memo t ~key:"self" (fun () -> 7) in
+        let inner =
+          Exec.Pool.run 6 (fun _ -> Core.Cache.memo t ~key:"self" (fun () -> 7))
+        in
+        if direct = 7 && Array.for_all (( = ) 7) inner then 7 else -1)
+  in
+  let got = Exec.Pool.run 8 (fun _ -> value ()) in
+  Alcotest.(check (array int)) "every caller sees 7" (Array.make 8 7) got;
+  Alcotest.(check int) "outer computation ran once" 1 (Atomic.get outer)
+
+(* A nested driver whose own set is fully claimed helps only its own or
+   newer sets.  Task 0 of the outer set holds a latch and runs a nested
+   set; tasks 1-3 wait on the latch, so they help only the nested set,
+   and the outer tasks 4.. stay unclaimed meanwhile.  Were task 0's
+   driver to claim one of them, it would start an outer task inside
+   another. *)
+let test_nested_driver_own_or_newer () =
+  with_jobs 4 @@ fun () ->
+  let inside = Domain.DLS.new_key (fun () -> false) in
+  let nested_outer = Atomic.make 0 in
+  let published = Atomic.make None in
+  let waiting = Atomic.make 0 in
+  let outer i =
+    if Domain.DLS.get inside then Atomic.incr nested_outer;
+    Domain.DLS.set inside true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set inside false) @@ fun () ->
+    if i = 0 then begin
+      let l = Exec.Pool.latch () in
+      Atomic.set published (Some l);
+      Exec.Pool.hold l (fun () ->
+          spin_until "three latch waiters" (fun () -> Atomic.get waiting >= 3);
+          Array.fold_left ( + ) 0
+            (Exec.Pool.run 8 (fun j ->
+                 Unix.sleepf 0.005;
+                 j)))
+    end
+    else if i <= 3 then begin
+      spin_until "the latch" (fun () -> Atomic.get published <> None);
+      Atomic.incr waiting;
+      match Atomic.get published with
+      | Some l -> if Exec.Pool.await l then i else -1
+      | None -> assert false
+    end
+    else i
+  in
+  let got = Exec.Pool.run 12 outer in
+  Alcotest.(check (array int))
+    "results"
+    (Array.init 12 (fun i -> if i = 0 then 28 else i))
+    got;
+  Alcotest.(check int)
+    "no outer task started inside another" 0 (Atomic.get nested_outer)
 
 (* ------------------------------------------------- pipeline bit-identity - *)
 
@@ -297,4 +400,10 @@ let suite =
       test_atpg_identity;
     Alcotest.test_case "atpg events bit-identical 1 vs 4 jobs" `Slow
       test_atpg_events_identity;
+    Alcotest.test_case "memo: cross lookups finish" `Quick
+      test_memo_cross_keys;
+    Alcotest.test_case "memo: nested self lookup finishes" `Quick
+      test_memo_nested_self;
+    Alcotest.test_case "nested driver helps own or newer sets" `Quick
+      test_nested_driver_own_or_newer;
   ]

@@ -504,6 +504,78 @@ let test_differential_soundness () =
     (Printf.sprintf "prover fired on some fuzz fault (%d)" !proved_total)
     true (!proved_total > 0)
 
+(* ------------------------------------------------- parallel C4 stage - *)
+
+(* A generated machine whose classification needs the product stage:
+   12 states, 2 inputs, 1 output and 60% of its transitions unspecified,
+   synthesized with the combined encoding and the delay script.  (Its
+   retimed circuit has product-only proofs too, but classifies in
+   seconds rather than a fraction of one.) *)
+let product_machine =
+  lazy
+    (let m =
+       Fsm.Generate.generate
+         {
+           Fsm.Generate.default_spec with
+           Fsm.Generate.name = "gen3";
+           num_states = 12;
+           num_inputs = 2;
+           num_outputs = 1;
+           drop_prob = 0.6;
+           seed = 3;
+         }
+     in
+     (Synth.Flow.synthesize ~algorithm:Synth.Assign.Combined
+        ~script:Synth.Flow.Delay m)
+       .Synth.Flow.circuit)
+
+let with_jobs n f =
+  Exec.Pool.set_jobs n;
+  Fun.protect ~finally:Exec.Pool.reset_jobs f
+
+(* The product stage's per-fault checks run as pool tasks: verdicts and
+   the summary, work included, must not depend on the job count. *)
+let test_product_jobs_identical () =
+  let machine_equivalent t =
+    Array.fold_left
+      (fun a v ->
+        match v with
+        | Analysis.Untest.Untestable
+            { Analysis.Untest.cause = Analysis.Untest.Machine_equivalent; _ }
+          ->
+          a + 1
+        | _ -> a)
+      0 t.Analysis.Untest.verdicts
+  in
+  List.iter
+    (fun (name, c) ->
+      let run j = with_jobs j (fun () -> Analysis.Untest.classify ~product:true c) in
+      let t1 = run 1 and t4 = run 4 in
+      Alcotest.(check bool)
+        (name ^ ": the product stage proves something")
+        true
+        (machine_equivalent t1 > 0);
+      Alcotest.(check bool)
+        (name ^ ": verdicts identical") true
+        (t1.Analysis.Untest.verdicts = t4.Analysis.Untest.verdicts);
+      Alcotest.(check bool)
+        (name ^ ": summary identical") true
+        (t1.Analysis.Untest.summary = t4.Analysis.Untest.summary))
+    [ ("seq-redundant", (let c, _, _, _ = seq_redundant_circuit () in c));
+      ("gen3", Lazy.force product_machine) ]
+
+(* The product stage has a trace span of its own. *)
+let test_product_span () =
+  let c, _, _, _ = seq_redundant_circuit () in
+  let sink = Obs.Trace.create () in
+  Obs.Trace.install sink;
+  Fun.protect ~finally:Obs.Trace.uninstall (fun () ->
+      ignore (Analysis.Untest.classify ~product:true c));
+  let spans = List.map (fun (n, _, _) -> n) (Obs.Trace.durations sink) in
+  Alcotest.(check bool)
+    "untest.product span recorded" true
+    (List.mem "untest.product" spans)
+
 let suite =
   [
     Alcotest.test_case "fixpoint matches legacy constants" `Quick
@@ -524,4 +596,7 @@ let suite =
       test_prune_unpruned_identical;
     Alcotest.test_case "differential soundness fuzz" `Slow
       test_differential_soundness;
+    Alcotest.test_case "product stage identical at 1 and 4 jobs" `Quick
+      test_product_jobs_identical;
+    Alcotest.test_case "product stage trace span" `Quick test_product_span;
   ]
