@@ -494,7 +494,7 @@ let product_undetectable ~max_nodes ~work c (f : Fsim.Fault.t) =
     end
   with
   | Detectable -> false
-  | Bdd.Node_limit | Invalid_argument _ -> false
+  | Bdd.Node_limit -> false
 
 (* Prefilter for C4: word-parallel random fault simulation (fixed seed,
    so classification stays deterministic).  Any fault some random

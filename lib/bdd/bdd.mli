@@ -12,7 +12,14 @@
     Variables are dense non-negative integers ordered by value: smaller
     indices sit closer to the root.  The manager never garbage-collects —
     allocation is monotone and [num_nodes] is also the high-water mark —
-    which fits the one-manager-per-analysis usage of {!Analysis.Symreach}. *)
+    which fits the one-manager-per-analysis usage of {!Analysis.Symreach}.
+
+    Nodes are rows of one flat int array; the unique table, the [ite]
+    cache and the memos of [exists], [and_exists], [rename] and
+    [restrict] are open-addressing int tables that never evict, so which
+    nodes get built, their indices and the cache counters depend only on
+    the operations applied, never on table sizes.  Cache entries pack two
+    edges per int, which bounds [max_nodes] by [2^30]. *)
 
 type man
 
@@ -26,7 +33,9 @@ type t = private int
 exception Node_limit
 
 (** [create ?max_nodes ()] makes an empty manager.  [max_nodes] bounds
-    unique-table growth (default [10_000_000]). *)
+    unique-table growth (default [10_000_000]); it counts the terminal,
+    so [Node_limit] leaves [num_nodes = max_nodes - 1].
+    @raise Invalid_argument if [max_nodes > 2^30]. *)
 val create : ?max_nodes:int -> unit -> man
 
 val one : t
@@ -102,7 +111,7 @@ val sat_count_int : man -> nvars:int -> t -> int option
 
 type stats = {
   nodes : int;           (** internal nodes allocated *)
-  unique_load : float;   (** unique-table bindings per bucket *)
+  unique_load : float;   (** nodes per unique-table slot (at most 1/2) *)
   cache_lookups : int;   (** ite-cache probes *)
   cache_hits : int;
 }

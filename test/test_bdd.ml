@@ -169,7 +169,144 @@ let test_node_limit () =
       for v = 0 to 15 do
         f := Bdd.xor_ man !f (Bdd.var man v)
       done;
-      ignore !f)
+      ignore !f);
+  (* the budget counts the terminal: the limit fires on the node that
+     would make [max_nodes] *)
+  Alcotest.(check int) "nodes at the limit" 7 (Bdd.num_nodes man)
+
+let test_create_packable () =
+  (* every edge must stay below 2^31 for the two-int table entries *)
+  ignore (Bdd.create ~max_nodes:(1 lsl 30) ());
+  match Bdd.create ~max_nodes:((1 lsl 30) + 1) () with
+  | _ -> Alcotest.fail "an unpackable max_nodes was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* A fixed operation mix that grows one manager past 60k nodes, so the
+   unique table, the ite cache and the per-call memos all resize several
+   times: ripple-carry sum bits of x + y with all of x above all of y
+   (exponential in this order), tied to fresh output variables, then
+   every quantifier and substitution kernel on the result. *)
+let kernel_workload man =
+  let n = 10 in
+  let x i = Bdd.var man i and y i = Bdd.var man (n + i) in
+  let carry = ref Bdd.zero in
+  let sums =
+    Array.init n (fun i ->
+        let half = Bdd.xor_ man (x i) (y i) in
+        let s = Bdd.xor_ man half !carry in
+        carry :=
+          Bdd.or_ man (Bdd.and_ man (x i) (y i)) (Bdd.and_ man !carry half);
+        s)
+  in
+  let rel = ref Bdd.one in
+  Array.iteri
+    (fun i s ->
+      rel := Bdd.and_ man !rel (Bdd.xnor_ man (Bdd.var man ((2 * n) + i)) s))
+    sums;
+  let rel = !rel in
+  let even_y_clear = ref Bdd.one in
+  for i = 0 to n - 1 do
+    if i land 1 = 0 then
+      even_y_clear := Bdd.and_ man !even_y_clear (Bdd.not_ (y i))
+  done;
+  let img =
+    Bdd.and_exists man (fun v -> v >= n && v < 2 * n) rel !even_y_clear
+  in
+  let shifted = Bdd.rename man (fun v -> if v < n then v else v + n) img in
+  let ex = Bdd.exists man (fun v -> v >= 2 * n && v land 1 = 1) img in
+  let rs = Bdd.restrict man rel ~var:n ~value:true in
+  let cp = Bdd.compose man rel ~var:(2 * n) sums.(n - 1) in
+  [ img; shifted; ex; rs; cp ]
+
+(* Golden counters of the kernel, recorded from the Hashtbl-based kernel
+   this one replaced.  Any change to which nodes are built, in which
+   order, or to when the ite cache hits moves them — and with them where
+   a per-fault budget raises [Node_limit], i.e. which faults C4 proves. *)
+let test_kernel_identity () =
+  let check name man ~nodes ~lookups ~hits =
+    let s = Bdd.stats man in
+    Alcotest.(check (list int))
+      (name ^ ": nodes, cache lookups, cache hits")
+      [ nodes; lookups; hits ]
+      [ Bdd.num_nodes man; s.Bdd.cache_lookups; s.Bdd.cache_hits ]
+  in
+  let man = Bdd.create () in
+  let results = kernel_workload man in
+  check "op mix" man ~nodes:63145 ~lookups:101258 ~hits:46303;
+  Alcotest.(check (list int))
+    "op mix result edges"
+    [ 83728; 86450; 88388; 90435; 126291 ]
+    (List.map (fun (e : Bdd.t) -> (e :> int)) results);
+  let e = Fsm.Benchmarks.find "s510" in
+  let r =
+    Synth.Flow.synthesize ~reset_line:e.Fsm.Benchmarks.has_reset_line
+      ~algorithm:Synth.Assign.Input_dominant ~script:Synth.Flow.Delay
+      (Fsm.Benchmarks.machine e)
+  in
+  let s = Analysis.Symreach.explore r.Synth.Flow.circuit in
+  check "symreach s510" s.Analysis.Symreach.man ~nodes:10619 ~lookups:19896
+    ~hits:4139
+
+(* Canonicity across table growth: functions built while the tables are
+   small are rebuilt minterm by minterm from their truth tables after
+   every table has doubled several times; equal truth tables must give
+   equal edges. *)
+let qcheck_canonical_growth =
+  let nv = 8 in
+  Helpers.qcheck_case ~count:25 "canonical across table growth"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let man = Bdd.create () in
+      let pool = ref (List.init nv (Bdd.var man)) in
+      let pick () =
+        List.nth !pool (Random.State.int rng (List.length !pool))
+      in
+      for _ = 1 to 60 do
+        let f = pick () and g = pick () and h = pick () in
+        let r =
+          match Random.State.int rng 4 with
+          | 0 -> Bdd.and_ man f (Bdd.not_ g)
+          | 1 -> Bdd.or_ man f g
+          | 2 -> Bdd.xor_ man f g
+          | _ -> Bdd.ite man f g h
+        in
+        pool := r :: !pool
+      done;
+      (* the ten newest functions and the literals *)
+      let funcs = List.filteri (fun i _ -> i < 10 || i >= 60) !pool in
+      let tables =
+        List.map
+          (fun f ->
+            Array.init (1 lsl nv) (fun m ->
+                Bdd.eval man f (fun v -> (m lsr v) land 1 = 1)))
+          funcs
+      in
+      (* a parity chain over fresh variables doubles the unique table
+         and the ite cache several times over *)
+      let parity = ref Bdd.zero in
+      for v = nv + 3000 downto nv do
+        parity := Bdd.xor_ man (Bdd.var man v) !parity
+      done;
+      let rebuild table =
+        let f = ref Bdd.zero in
+        Array.iteri
+          (fun m on ->
+            if on then begin
+              let cube = ref Bdd.one in
+              for v = nv - 1 downto 0 do
+                let lit = Bdd.var man v in
+                cube :=
+                  Bdd.and_ man !cube
+                    (if (m lsr v) land 1 = 1 then lit else Bdd.not_ lit)
+              done;
+              f := Bdd.or_ man !f !cube
+            end)
+          table;
+        !f
+      in
+      let rebuilt = List.map rebuild tables in
+      List.for_all2 Bdd.equal funcs rebuilt)
 
 let test_sat_count_wide () =
   let man = Bdd.create () in
@@ -396,6 +533,11 @@ let suite =
       test_quantify_restrict_compose;
     Alcotest.test_case "rename" `Quick test_rename;
     Alcotest.test_case "node limit" `Quick test_node_limit;
+    Alcotest.test_case "create rejects unpackable budgets" `Quick
+      test_create_packable;
+    Alcotest.test_case "kernel identity (golden counters)" `Quick
+      test_kernel_identity;
+    qcheck_canonical_growth;
     Alcotest.test_case "sat counts past integer range" `Quick
       test_sat_count_wide;
     Alcotest.test_case "small sat counts over wide spaces" `Quick
